@@ -3,11 +3,13 @@
 //!
 //! A run config has five sections — `[run]`, `[model]`, `[dataset]`,
 //! `[train]`, and optionally `[baseline]` / `[sweep]` — documented field
-//! by field in `DESIGN.md` §6. [`RunConfig::from_value`] reads a parsed
-//! [`Value`] tree with per-field error messages;
-//! [`RunConfig::to_value`] renders the *resolved* config back out, which
-//! is what `runs/<name>/config.toml` snapshots (a snapshot re-parses to an
-//! identical `RunConfig`, the round-trip property the tests pin).
+//! by field in `DESIGN.md` §6. Each section lists its keys once and takes
+//! its defaults from its `Default`; [`RunConfig::from_value`] reads a
+//! parsed [`Value`] through that listing (rejecting unknown keys), and
+//! [`RunConfig::to_value`] renders the *resolved* config back out through
+//! it, which is what `runs/<name>/config.toml` snapshots (a snapshot
+//! re-parses to an identical `RunConfig`, the round-trip property the
+//! tests pin).
 
 use crate::error::{CliError, Result};
 use crate::value::{Table, Value};
@@ -16,6 +18,7 @@ use nf_data::SyntheticSpec;
 use nf_models::{AuxPolicy, ModelSpec};
 use nf_tensor::KernelBackend;
 use serde::{Deserialize, Serialize};
+use std::str::FromStr;
 
 /// `[run]`: identity and placement of the run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -26,6 +29,16 @@ pub struct RunSection {
     pub seed: u64,
     /// Directory run artifacts are written under.
     pub out_dir: String,
+}
+
+impl Default for RunSection {
+    fn default() -> Self {
+        RunSection {
+            name: String::new(),
+            seed: 0,
+            out_dir: "runs".to_string(),
+        }
+    }
 }
 
 /// `[model]`: which architecture to train.
@@ -45,8 +58,20 @@ pub struct ModelSection {
     pub input_size: Option<usize>,
 }
 
+impl Default for ModelSection {
+    fn default() -> Self {
+        ModelSection {
+            preset: String::new(),
+            channels: None,
+            scale: None,
+            granularity: 4,
+            input_size: None,
+        }
+    }
+}
+
 /// `[dataset]`: which synthetic dataset to generate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DatasetSection {
     /// `cifar10|cifar100|tiny-imagenet` or `quick`.
     pub preset: String,
@@ -98,21 +123,31 @@ pub struct TrainSection {
     pub int8_compute: bool,
 }
 
+impl Default for TrainSection {
+    fn default() -> Self {
+        TrainSection {
+            budget_bytes: 0,
+            batch_limit: 0,
+            rho: 0.4,
+            lr: 0.05,
+            momentum: 0.9,
+            epochs_per_block: 3,
+            exit_tolerance: 0.005,
+            evict_params: true,
+            kernel_backend: KernelBackend::default(),
+            aux_policy: AuxPolicy::Adaptive,
+            int8_compute: false,
+        }
+    }
+}
+
 /// `[cache]`: how the activation cache stores block outputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CacheSection {
     /// Activation-cache codec: `f32` (bit-exact, the default), `f16`
     /// (half precision, 2× smaller), or `int8` (per-channel quantized,
     /// ~4× smaller). See `DESIGN.md` §10.
     pub codec: CodecKind,
-}
-
-impl Default for CacheSection {
-    fn default() -> Self {
-        CacheSection {
-            codec: CodecKind::F32Raw,
-        }
-    }
 }
 
 /// `[baseline]`: knobs for `nf baseline <bp|ll|fa|sp>`.
@@ -124,6 +159,16 @@ pub struct BaselineSection {
     pub batch: usize,
     /// Learning rate.
     pub lr: f64,
+}
+
+impl Default for BaselineSection {
+    fn default() -> Self {
+        BaselineSection {
+            epochs: 5,
+            batch: 16,
+            lr: 0.05,
+        }
+    }
 }
 
 /// `[federated]`: knobs for `nf federated` (the parallel multi-client
@@ -141,6 +186,18 @@ pub struct FederatedSection {
     pub strategy: String,
     /// Sharding/client-stream seed override (defaults to `[run].seed`).
     pub seed: Option<u64>,
+}
+
+impl Default for FederatedSection {
+    fn default() -> Self {
+        FederatedSection {
+            clients: 4,
+            rounds: 3,
+            threads: 0,
+            strategy: "round-robin".to_string(),
+            seed: None,
+        }
+    }
 }
 
 /// `[serve]`: knobs for the `nf serve` inference service (and the
@@ -179,15 +236,16 @@ pub struct ServeSection {
 impl Default for ServeSection {
     fn default() -> Self {
         let p = neuroflux_core::ServePolicy::default();
+        let [fast_deadline_us, balanced_deadline_us, exact_deadline_us] = p.deadline_us;
         ServeSection {
             addr: "127.0.0.1:0".to_string(),
             threshold: p.threshold as f64,
             max_batch: p.max_batch,
             queue_capacity: p.queue_capacity,
             batch_window_us: p.batch_window_us,
-            fast_deadline_us: p.deadline_us[0],
-            balanced_deadline_us: p.deadline_us[1],
-            exact_deadline_us: p.deadline_us[2],
+            fast_deadline_us,
+            balanced_deadline_us,
+            exact_deadline_us,
             replicas: p.replicas,
             outbox_kib: p.outbox_kib,
             allow_shutdown: false,
@@ -242,8 +300,21 @@ pub struct SweepSection {
     pub samples: usize,
 }
 
-/// A fully-parsed `nf` config file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+impl Default for SweepSection {
+    fn default() -> Self {
+        SweepSection {
+            devices: Vec::new(),
+            budgets_mb: Vec::new(),
+            batch_limit: 512,
+            epochs: 30,
+            samples: 50_000,
+        }
+    }
+}
+
+/// A fully-parsed `nf` config file. `Default` holds every documented
+/// default, with empty placeholders for the keys a document must set.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunConfig {
     /// `[run]` section.
     pub run: RunSection,
@@ -268,136 +339,341 @@ pub struct RunConfig {
     pub loadgen: Option<LoadgenSection>,
 }
 
-/// A table wrapper producing `[section].key`-qualified error messages.
-struct Section<'v> {
-    name: &'static str,
-    table: Option<&'v Value>,
+/// A table of the schema: its key listing, in snapshot order, over the
+/// documented defaults its `Default` holds.
+trait Section: Clone + Default {
+    /// Visits every key once.
+    fn keys(&mut self, s: &mut impl Visit) -> Result<()>;
 }
 
-impl<'v> Section<'v> {
-    fn of(root: &'v Value, name: &'static str) -> Self {
-        Section {
-            name,
-            table: root.get(name),
-        }
-    }
-
-    fn required(root: &'v Value, name: &'static str) -> Result<Self> {
-        if root.get(name).is_none() {
-            return Err(CliError::new(format!("missing [{name}] section")));
-        }
-        Ok(Self::of(root, name))
-    }
-
-    fn exists(&self) -> bool {
-        self.table.is_some()
-    }
-
-    fn get(&self, key: &str) -> Option<&'v Value> {
-        self.table.and_then(|t| t.get(key))
-    }
-
-    fn missing(&self, key: &str) -> CliError {
-        CliError::new(format!("missing required key [{}].{key}", self.name))
-    }
-
-    fn bad(&self, key: &str, expected: &str) -> CliError {
-        CliError::new(format!("[{}].{key} must be {expected}", self.name))
-    }
-
-    fn str_req(&self, key: &str) -> Result<String> {
-        self.get(key)
-            .ok_or_else(|| self.missing(key))?
-            .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| self.bad(key, "a string"))
-    }
-
-    fn usize_req(&self, key: &str) -> Result<usize> {
-        self.usize_opt(key)?.ok_or_else(|| self.missing(key))
-    }
-
-    fn usize_opt(&self, key: &str) -> Result<Option<usize>> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let i = v.as_int().ok_or_else(|| self.bad(key, "an integer"))?;
-                usize::try_from(i)
-                    .map(Some)
-                    .map_err(|_| self.bad(key, "a non-negative integer"))
-            }
-        }
-    }
-
-    fn u64_opt(&self, key: &str) -> Result<Option<u64>> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let i = v.as_int().ok_or_else(|| self.bad(key, "an integer"))?;
-                u64::try_from(i)
-                    .map(Some)
-                    .map_err(|_| self.bad(key, "a non-negative integer"))
-            }
-        }
-    }
-
-    fn f64_opt(&self, key: &str) -> Result<Option<f64>> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_float()
-                .map(Some)
-                .ok_or_else(|| self.bad(key, "a number")),
-        }
-    }
-
-    fn bool_or(&self, key: &str, default: bool) -> Result<bool> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.as_bool().ok_or_else(|| self.bad(key, "a boolean")),
-        }
-    }
-
-    fn usize_array_opt(&self, key: &str) -> Result<Option<Vec<usize>>> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let items = v
-                    .as_array()
-                    .ok_or_else(|| self.bad(key, "an array of integers"))?;
-                items
-                    .iter()
-                    .map(|item| {
-                        item.as_int()
-                            .and_then(|i| usize::try_from(i).ok())
-                            .ok_or_else(|| self.bad(key, "an array of non-negative integers"))
-                    })
-                    .collect::<Result<Vec<_>>>()
-                    .map(Some)
-            }
-        }
-    }
-
-    fn str_array_opt(&self, key: &str) -> Result<Option<Vec<String>>> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let items = v
-                    .as_array()
-                    .ok_or_else(|| self.bad(key, "an array of strings"))?;
-                items
-                    .iter()
-                    .map(|item| {
-                        item.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| self.bad(key, "an array of strings"))
-                    })
-                    .collect::<Result<Vec<_>>>()
-                    .map(Some)
-            }
-        }
+impl Section for RunConfig {
+    fn keys(&mut self, s: &mut impl Visit) -> Result<()> {
+        s.req("run", &mut self.run)?;
+        s.req("model", &mut self.model)?;
+        s.req("dataset", &mut self.dataset)?;
+        s.req("train", &mut self.train)?;
+        s.key("cache", &mut self.cache)?;
+        s.key("baseline", &mut self.baseline)?;
+        s.key("sweep", &mut self.sweep)?;
+        s.key("federated", &mut self.federated)?;
+        s.key("serve", &mut self.serve)?;
+        s.key("loadgen", &mut self.loadgen)
     }
 }
+
+impl Section for RunSection {
+    fn keys(&mut self, s: &mut impl Visit) -> Result<()> {
+        s.req("name", &mut self.name)?;
+        s.key("seed", &mut self.seed)?;
+        s.key("out_dir", &mut self.out_dir)
+    }
+}
+
+impl Section for ModelSection {
+    fn keys(&mut self, s: &mut impl Visit) -> Result<()> {
+        s.req("preset", &mut self.preset)?;
+        s.key("channels", &mut self.channels)?;
+        s.key("scale", &mut self.scale)?;
+        s.key("granularity", &mut self.granularity)?;
+        s.key("input_size", &mut self.input_size)
+    }
+}
+
+impl Section for DatasetSection {
+    fn keys(&mut self, s: &mut impl Visit) -> Result<()> {
+        s.req("preset", &mut self.preset)?;
+        s.key("classes", &mut self.classes)?;
+        s.key("image_hw", &mut self.image_hw)?;
+        s.req("train", &mut self.train)?;
+        s.key("val", &mut self.val)?;
+        s.key("test", &mut self.test)?;
+        s.key("noise", &mut self.noise)?;
+        s.key("seed", &mut self.seed)
+    }
+}
+
+impl Section for TrainSection {
+    fn keys(&mut self, s: &mut impl Visit) -> Result<()> {
+        s.key("budget_bytes", &mut self.budget_bytes)?;
+        s.req("batch_limit", &mut self.batch_limit)?;
+        s.key("rho", &mut self.rho)?;
+        s.key("lr", &mut self.lr)?;
+        s.key("momentum", &mut self.momentum)?;
+        s.key("epochs_per_block", &mut self.epochs_per_block)?;
+        s.key("exit_tolerance", &mut self.exit_tolerance)?;
+        s.key("evict_params", &mut self.evict_params)?;
+        s.key("kernel_backend", &mut self.kernel_backend)?;
+        s.key("aux_policy", &mut self.aux_policy)?;
+        s.key("int8_compute", &mut self.int8_compute)
+    }
+}
+
+impl Section for CacheSection {
+    fn keys(&mut self, s: &mut impl Visit) -> Result<()> {
+        s.key("codec", &mut self.codec)
+    }
+}
+
+impl Section for BaselineSection {
+    fn keys(&mut self, s: &mut impl Visit) -> Result<()> {
+        s.key("epochs", &mut self.epochs)?;
+        s.key("batch", &mut self.batch)?;
+        s.key("lr", &mut self.lr)
+    }
+}
+
+impl Section for SweepSection {
+    fn keys(&mut self, s: &mut impl Visit) -> Result<()> {
+        s.req("devices", &mut self.devices)?;
+        s.req("budgets_mb", &mut self.budgets_mb)?;
+        s.key("batch_limit", &mut self.batch_limit)?;
+        s.key("epochs", &mut self.epochs)?;
+        s.key("samples", &mut self.samples)
+    }
+}
+
+impl Section for FederatedSection {
+    fn keys(&mut self, s: &mut impl Visit) -> Result<()> {
+        s.key("clients", &mut self.clients)?;
+        s.key("rounds", &mut self.rounds)?;
+        s.key("threads", &mut self.threads)?;
+        s.key("strategy", &mut self.strategy)?;
+        s.key("seed", &mut self.seed)
+    }
+}
+
+impl Section for ServeSection {
+    fn keys(&mut self, s: &mut impl Visit) -> Result<()> {
+        s.key("addr", &mut self.addr)?;
+        s.key("threshold", &mut self.threshold)?;
+        s.key("max_batch", &mut self.max_batch)?;
+        s.key("queue_capacity", &mut self.queue_capacity)?;
+        s.key("batch_window_us", &mut self.batch_window_us)?;
+        s.key("fast_deadline_us", &mut self.fast_deadline_us)?;
+        s.key("balanced_deadline_us", &mut self.balanced_deadline_us)?;
+        s.key("exact_deadline_us", &mut self.exact_deadline_us)?;
+        s.key("replicas", &mut self.replicas)?;
+        s.key("outbox_kib", &mut self.outbox_kib)?;
+        s.key("allow_shutdown", &mut self.allow_shutdown)
+    }
+}
+
+impl Section for LoadgenSection {
+    fn keys(&mut self, s: &mut impl Visit) -> Result<()> {
+        s.key("requests", &mut self.requests)?;
+        s.key("connections", &mut self.connections)?;
+        s.key("inflight", &mut self.inflight)?;
+        s.key("tier_weights", &mut self.tier_weights)?;
+        s.key("seed", &mut self.seed)
+    }
+}
+
+/// One pass over a key listing: the [`Reader`] or the [`Writer`].
+trait Visit {
+    /// Visits a key a document may leave out (the field keeps its default).
+    fn key<F: Field>(&mut self, key: &'static str, field: &mut F) -> Result<()>;
+
+    /// Visits a key every document must set.
+    fn req<F: Field>(&mut self, key: &'static str, field: &mut F) -> Result<()> {
+        self.key(key, field)
+    }
+}
+
+/// Fills a section from its document table and records the path of every
+/// key it reads, so that keys no listing reads can be rejected.
+struct Reader<'a> {
+    table: &'a Value,
+    /// Dotted path of `table` (`""` for the document root).
+    path: &'a str,
+    seen: &'a mut Vec<String>,
+}
+
+impl<'a> Reader<'a> {
+    fn new(table: &'a Value, path: &'a str, seen: &'a mut Vec<String>) -> Self {
+        Reader { table, path, seen }
+    }
+}
+
+impl Visit for Reader<'_> {
+    fn key<F: Field>(&mut self, key: &'static str, field: &mut F) -> Result<()> {
+        if let Some(value) = self.table.get(key) {
+            let at = join(self.path, key);
+            *field = F::read(value, &at, self.seen)?;
+            self.seen.push(at);
+        }
+        Ok(())
+    }
+
+    fn req<F: Field>(&mut self, key: &'static str, field: &mut F) -> Result<()> {
+        if self.table.get(key).is_none() {
+            return Err(CliError::new(match self.path {
+                "" => format!("missing [{key}] section"),
+                section => format!("missing required key [{section}].{key}"),
+            }));
+        }
+        self.key(key, field)
+    }
+}
+
+/// Renders a section's keys into a snapshot table.
+struct Writer(Table);
+
+impl Visit for Writer {
+    fn key<F: Field>(&mut self, key: &'static str, field: &mut F) -> Result<()> {
+        if let Some(value) = field.write() {
+            self.0.insert(key, value);
+        }
+        Ok(())
+    }
+}
+
+fn join(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+/// A typed error for a value of the wrong kind at key path `at`.
+fn bad(at: &str, expected: &str) -> CliError {
+    CliError::config(at, format!("must be {expected}"))
+}
+
+/// A typed error at key path `path` unless `ok`.
+fn ensure(ok: bool, path: &str, message: &str) -> Result<()> {
+    if ok {
+        return Ok(());
+    }
+    Err(CliError::config(path, message))
+}
+
+/// Rejects the first key, in document order, that no listing read.
+fn reject_unread(table: &Value, at: &str, seen: &[String]) -> Result<()> {
+    for (key, value) in table.entries().unwrap_or_default() {
+        let path = join(at, key);
+        if !seen.contains(&path) {
+            let what = if at.is_empty() { "section" } else { "key" };
+            return Err(CliError::config(path, format!("unknown {what}")));
+        }
+        reject_unread(value, &path, seen)?;
+    }
+    Ok(())
+}
+
+/// A config value type: how it reads from a document and renders into a
+/// snapshot.
+trait Field: Sized {
+    /// Reads `value`, found at key path `at`; a section records the paths
+    /// of the keys it reads in `seen`.
+    fn read(value: &Value, at: &str, seen: &mut Vec<String>) -> Result<Self>;
+
+    /// The snapshot value; `None` leaves the key out.
+    fn write(&self) -> Option<Value>;
+}
+
+impl<S: Section> Field for S {
+    fn read(value: &Value, at: &str, seen: &mut Vec<String>) -> Result<Self> {
+        if value.entries().is_none() {
+            return Err(bad(at, "a table"));
+        }
+        let mut section = S::default();
+        section.keys(&mut Reader::new(value, at, seen))?;
+        Ok(section)
+    }
+
+    fn write(&self) -> Option<Value> {
+        let mut writer = Writer(Table::new());
+        // The writer never fails.
+        self.clone().keys(&mut writer).ok()?;
+        Some(writer.0.build())
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn read(value: &Value, at: &str, seen: &mut Vec<String>) -> Result<Self> {
+        T::read(value, at, seen).map(Some)
+    }
+
+    fn write(&self) -> Option<Value> {
+        self.as_ref()?.write()
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn read(value: &Value, at: &str, seen: &mut Vec<String>) -> Result<Self> {
+        let items = value.as_array().ok_or_else(|| bad(at, "an array"))?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::read(item, &format!("{at}[{i}]"), seen))
+            .collect()
+    }
+
+    fn write(&self) -> Option<Value> {
+        Some(Value::Array(self.iter().filter_map(T::write).collect()))
+    }
+}
+
+impl Field for [usize; 3] {
+    fn read(value: &Value, at: &str, seen: &mut Vec<String>) -> Result<Self> {
+        Self::try_from(Vec::read(value, at, seen)?)
+            .map_err(|_| bad(at, "three non-negative integers"))
+    }
+
+    fn write(&self) -> Option<Value> {
+        self.to_vec().write()
+    }
+}
+
+/// Reads a non-negative integer that fits `T`.
+fn int<T: TryFrom<i64>>(value: &Value, at: &str) -> Result<T> {
+    let i = value.as_int().ok_or_else(|| bad(at, "an integer"))?;
+    T::try_from(i).map_err(|_| bad(at, "a non-negative integer"))
+}
+
+/// Reads a string through `FromStr` (enums by name); an unknown name is a
+/// typed error carrying the key path, so scripts can tell "your config is
+/// wrong" from "the run failed".
+fn parsed<T: FromStr<Err: ToString>>(value: &Value, at: &str) -> Result<T> {
+    let s = value.as_str().ok_or_else(|| bad(at, "a string"))?;
+    s.parse::<T>()
+        .map_err(|e| CliError::config(at, e.to_string()))
+}
+
+fn number(value: &Value, at: &str) -> Result<f64> {
+    value.as_float().ok_or_else(|| bad(at, "a number"))
+}
+
+fn boolean(value: &Value, at: &str) -> Result<bool> {
+    value.as_bool().ok_or_else(|| bad(at, "a boolean"))
+}
+
+/// `Field` for a value type that is not a section: `read(value, at)`
+/// reads the document value at key path `at`, `|x| write` renders `x`.
+macro_rules! scalar {
+    ($ty:ty: $read:ident, |$x:ident| $write:expr) => {
+        impl Field for $ty {
+            fn read(value: &Value, at: &str, _: &mut Vec<String>) -> Result<Self> {
+                $read(value, at)
+            }
+
+            fn write(&self) -> Option<Value> {
+                let $x = self;
+                Some($write)
+            }
+        }
+    };
+}
+
+scalar!(u64: int, |n| Value::Int(*n as i64));
+scalar!(usize: int, |n| Value::Int(*n as i64));
+scalar!(f64: number, |f| Value::Float(*f));
+scalar!(bool: boolean, |b| Value::Bool(*b));
+scalar!(String: parsed, |s| Value::Str(s.clone()));
+scalar!(KernelBackend: parsed, |k| Value::Str(k.name().into()));
+scalar!(AuxPolicy: parsed, |p| Value::Str(p.name()));
+scalar!(CodecKind: parsed, |c| Value::Str(c.name().into()));
 
 impl RunConfig {
     /// Loads a config from a `.toml` or `.json` file (decided by
@@ -411,280 +687,71 @@ impl RunConfig {
         Self::from_value(&value)
     }
 
-    /// Reads a config out of a parsed document tree.
+    /// Reads a config out of a parsed document tree. Keys and sections
+    /// outside the schema are typed errors.
     pub fn from_value(root: &Value) -> Result<RunConfig> {
-        let run = Section::required(root, "run")?;
-        let run = RunSection {
-            name: run.str_req("name")?,
-            seed: run.u64_opt("seed")?.unwrap_or(0),
-            out_dir: run
-                .get("out_dir")
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| run.bad("out_dir", "a string"))
-                })
-                .transpose()?
-                .unwrap_or_else(|| "runs".to_string()),
-        };
-        if run.name.is_empty() || run.name.contains(['/', '\\', '.']) {
+        let mut seen = Vec::new();
+        let mut config = RunConfig::default();
+        config.keys(&mut Reader::new(root, "", &mut seen))?;
+
+        // `budget_mb` is the input alias of `budget_bytes` (1 MB = 10⁶
+        // bytes, the paper's unit); `budget_bytes` wins when both are set.
+        let mut budget_mb: Option<f64> = None;
+        if let Some(train) = root.get("train") {
+            Reader::new(train, "train", &mut seen).key("budget_mb", &mut budget_mb)?;
+        }
+        if !seen.iter().any(|p| p == "train.budget_bytes") {
+            let mb = budget_mb.ok_or_else(|| {
+                CliError::new("missing required key [train].budget_mb (or budget_bytes)")
+            })?;
+            config.train.budget_bytes = (mb * 1e6) as u64;
+        }
+        reject_unread(root, "", &seen)?;
+
+        let name = &config.run.name;
+        if name.is_empty() || name.contains(['/', '\\', '.']) {
             return Err(CliError::new(
                 "[run].name must be non-empty and free of path separators and dots",
             ));
         }
-
-        let model = Section::required(root, "model")?;
-        let model = ModelSection {
-            preset: model.str_req("preset")?,
-            channels: model.usize_array_opt("channels")?,
-            scale: model.f64_opt("scale")?,
-            granularity: model.usize_opt("granularity")?.unwrap_or(4).max(1),
-            input_size: model.usize_opt("input_size")?,
-        };
-
-        let dataset = Section::required(root, "dataset")?;
-        let dataset = DatasetSection {
-            preset: dataset.str_req("preset")?,
-            classes: dataset.usize_opt("classes")?,
-            image_hw: dataset.usize_opt("image_hw")?,
-            train: dataset.usize_req("train")?,
-            val: dataset.usize_opt("val")?,
-            test: dataset.usize_opt("test")?,
-            noise: dataset.f64_opt("noise")?,
-            seed: dataset.u64_opt("seed")?,
-        };
-
-        let train = Section::required(root, "train")?;
-        let budget_bytes = match (train.u64_opt("budget_bytes")?, train.f64_opt("budget_mb")?) {
-            (Some(b), _) => b,
-            (None, Some(mb)) => (mb * 1e6) as u64,
-            (None, None) => return Err(train.missing("budget_mb (or budget_bytes)")),
-        };
-        let kernel_backend = match train.get("kernel_backend") {
-            None => KernelBackend::default(),
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| train.bad("kernel_backend", "a string"))?
-                .parse::<KernelBackend>()
-                .map_err(|e| CliError::new(format!("[train].kernel_backend: {e}")))?,
-        };
-        let aux_policy = match train.get("aux_policy") {
-            None => AuxPolicy::Adaptive,
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| train.bad("aux_policy", "a string"))?
-                .parse::<AuxPolicy>()
-                .map_err(|e| CliError::new(format!("[train].aux_policy: {e}")))?,
-        };
-        let train = TrainSection {
-            budget_bytes,
-            batch_limit: train.usize_req("batch_limit")?,
-            rho: train.f64_opt("rho")?.unwrap_or(0.4),
-            lr: train.f64_opt("lr")?.unwrap_or(0.05),
-            momentum: train.f64_opt("momentum")?.unwrap_or(0.9),
-            epochs_per_block: train.usize_opt("epochs_per_block")?.unwrap_or(3),
-            exit_tolerance: train.f64_opt("exit_tolerance")?.unwrap_or(0.005),
-            evict_params: train.bool_or("evict_params", true)?,
-            kernel_backend,
-            aux_policy,
-            int8_compute: train.bool_or("int8_compute", false)?,
-        };
-
-        let cache = Section::of(root, "cache");
-        let cache = CacheSection {
-            codec: match cache.get("codec") {
-                None => CodecKind::default(),
-                Some(v) => v
-                    .as_str()
-                    .ok_or_else(|| cache.bad("codec", "a string"))?
-                    .parse::<CodecKind>()
-                    // A typo'd codec is a typed config error carrying the
-                    // key path, so scripts can tell "your config is wrong"
-                    // from "the run failed".
-                    .map_err(|e| CliError::config("cache.codec", e))?,
-            },
-        };
-
-        let baseline = Section::of(root, "baseline");
-        let baseline = if baseline.exists() {
-            Some(BaselineSection {
-                epochs: baseline.usize_opt("epochs")?.unwrap_or(5),
-                batch: baseline.usize_opt("batch")?.unwrap_or(16),
-                lr: baseline.f64_opt("lr")?.unwrap_or(0.05),
-            })
-        } else {
-            None
-        };
-
-        let sweep = Section::of(root, "sweep");
-        let sweep = if sweep.exists() {
-            let devices = sweep
-                .str_array_opt("devices")?
-                .or_else(|| {
-                    sweep
-                        .get("device")
-                        .and_then(Value::as_str)
-                        .map(|d| vec![d.to_string()])
-                })
-                .ok_or_else(|| sweep.missing("devices"))?;
-            let budgets_mb = sweep
-                .usize_array_opt("budgets_mb")?
-                .ok_or_else(|| sweep.missing("budgets_mb"))?
-                .into_iter()
-                .map(|b| b as u64)
-                .collect();
-            Some(SweepSection {
-                devices,
-                budgets_mb,
-                batch_limit: sweep.usize_opt("batch_limit")?.unwrap_or(512),
-                epochs: sweep.usize_opt("epochs")?.unwrap_or(30),
-                samples: sweep.usize_opt("samples")?.unwrap_or(50_000),
-            })
-        } else {
-            None
-        };
-
-        let federated = Section::of(root, "federated");
-        let federated = if federated.exists() {
-            let strategy = match federated.get("strategy") {
-                None => "round-robin".to_string(),
-                Some(v) => v
-                    .as_str()
-                    .ok_or_else(|| federated.bad("strategy", "a string"))?
-                    .to_string(),
-            };
+        config.model.granularity = config.model.granularity.max(1);
+        if let Some(f) = &config.federated {
             // Validate eagerly so a typo fails at parse time, with the
             // offending key path.
-            strategy
+            f.strategy
                 .parse::<nf_data::ShardStrategy>()
                 .map_err(|e| CliError::config("federated.strategy", e))?;
-            Some(FederatedSection {
-                clients: federated.usize_opt("clients")?.unwrap_or(4),
-                rounds: federated.usize_opt("rounds")?.unwrap_or(3),
-                threads: federated.usize_opt("threads")?.unwrap_or(0),
-                strategy,
-                seed: federated.u64_opt("seed")?,
-            })
-        } else {
-            None
-        };
-
-        let serve = Section::of(root, "serve");
-        let serve = if serve.exists() {
-            let d = ServeSection::default();
-            let section = ServeSection {
-                addr: serve
-                    .get("addr")
-                    .map(|v| {
-                        v.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| serve.bad("addr", "a string"))
-                    })
-                    .transpose()?
-                    .unwrap_or(d.addr),
-                threshold: serve.f64_opt("threshold")?.unwrap_or(d.threshold),
-                max_batch: serve.usize_opt("max_batch")?.unwrap_or(d.max_batch),
-                queue_capacity: serve
-                    .usize_opt("queue_capacity")?
-                    .unwrap_or(d.queue_capacity),
-                batch_window_us: serve
-                    .u64_opt("batch_window_us")?
-                    .unwrap_or(d.batch_window_us),
-                fast_deadline_us: serve
-                    .u64_opt("fast_deadline_us")?
-                    .unwrap_or(d.fast_deadline_us),
-                balanced_deadline_us: serve
-                    .u64_opt("balanced_deadline_us")?
-                    .unwrap_or(d.balanced_deadline_us),
-                exact_deadline_us: serve
-                    .u64_opt("exact_deadline_us")?
-                    .unwrap_or(d.exact_deadline_us),
-                replicas: serve.usize_opt("replicas")?.unwrap_or(d.replicas),
-                outbox_kib: serve.usize_opt("outbox_kib")?.unwrap_or(d.outbox_kib),
-                allow_shutdown: serve.bool_or("allow_shutdown", false)?,
-            };
-            if !(section.threshold.is_finite() && section.threshold > 0.0) {
-                return Err(CliError::config(
-                    "serve.threshold",
-                    "must be a finite number > 0",
-                ));
-            }
-            if section.max_batch == 0 {
-                return Err(CliError::config("serve.max_batch", "must be > 0"));
-            }
-            if section.queue_capacity == 0 {
-                return Err(CliError::config("serve.queue_capacity", "must be > 0"));
-            }
-            if section.replicas > neuroflux_core::MAX_REPLICAS {
-                return Err(CliError::config(
-                    "serve.replicas",
-                    format!(
-                        "must be ≤ {} (0 = one per core)",
-                        neuroflux_core::MAX_REPLICAS
-                    ),
-                ));
-            }
-            if section.outbox_kib == 0 {
-                return Err(CliError::config("serve.outbox_kib", "must be > 0"));
-            }
-            Some(section)
-        } else {
-            None
-        };
-
-        let loadgen = Section::of(root, "loadgen");
-        let loadgen = if loadgen.exists() {
-            let d = LoadgenSection::default();
-            let weights = match loadgen.usize_array_opt("tier_weights")? {
-                None => d.tier_weights,
-                Some(w) => {
-                    if w.len() != 3 || w.iter().sum::<usize>() == 0 {
-                        return Err(CliError::config(
-                            "loadgen.tier_weights",
-                            "must be three non-negative integers (fast, balanced, exact) \
-                             that do not all vanish",
-                        ));
-                    }
-                    [w[0], w[1], w[2]]
-                }
-            };
-            let section = LoadgenSection {
-                requests: loadgen.usize_opt("requests")?.unwrap_or(d.requests),
-                connections: loadgen.usize_opt("connections")?.unwrap_or(d.connections),
-                inflight: loadgen.usize_opt("inflight")?.unwrap_or(d.inflight),
-                tier_weights: weights,
-                seed: loadgen.u64_opt("seed")?,
-            };
-            if section.requests == 0 {
-                return Err(CliError::config("loadgen.requests", "must be > 0"));
-            }
-            if section.connections == 0 {
-                return Err(CliError::config("loadgen.connections", "must be > 0"));
-            }
-            if section.inflight != 0 && section.inflight < section.connections {
-                return Err(CliError::config(
-                    "loadgen.inflight",
-                    "must be 0 (= connections) or ≥ connections \
-                     (every connection keeps at least one request in flight)",
-                ));
-            }
-            Some(section)
-        } else {
-            None
-        };
-
-        let config = RunConfig {
-            run,
-            model,
-            dataset,
-            train,
-            cache,
-            baseline,
-            sweep,
-            federated,
-            serve,
-            loadgen,
-        };
+        }
+        if let Some(s) = &config.serve {
+            let threshold_ok = s.threshold.is_finite() && s.threshold > 0.0;
+            ensure(
+                threshold_ok,
+                "serve.threshold",
+                "must be a finite number > 0",
+            )?;
+            ensure(s.max_batch > 0, "serve.max_batch", "must be > 0")?;
+            ensure(s.queue_capacity > 0, "serve.queue_capacity", "must be > 0")?;
+            let max = neuroflux_core::MAX_REPLICAS;
+            let replicas = format!("must be ≤ {max} (0 = one per core)");
+            ensure(s.replicas <= max, "serve.replicas", &replicas)?;
+            ensure(s.outbox_kib > 0, "serve.outbox_kib", "must be > 0")?;
+        }
+        if let Some(l) = &config.loadgen {
+            ensure(
+                l.tier_weights.iter().sum::<usize>() > 0,
+                "loadgen.tier_weights",
+                "must be three non-negative integers (fast, balanced, exact) \
+                 that do not all vanish",
+            )?;
+            ensure(l.requests > 0, "loadgen.requests", "must be > 0")?;
+            ensure(l.connections > 0, "loadgen.connections", "must be > 0")?;
+            ensure(
+                l.inflight == 0 || l.inflight >= l.connections,
+                "loadgen.inflight",
+                "must be 0 (= connections) or ≥ connections \
+                 (every connection keeps at least one request in flight)",
+            )?;
+        }
         // Resolution validates the cross-section constraints (model fits
         // dataset geometry, NeuroFlux config sanity) up front.
         config.resolve()?;
@@ -694,148 +761,7 @@ impl RunConfig {
     /// Renders the resolved config back into a document tree; the snapshot
     /// written to `runs/<name>/config.toml`.
     pub fn to_value(&self) -> Value {
-        let mut root = Table::new();
-        let mut run = Table::new();
-        run.insert("name", Value::Str(self.run.name.clone()));
-        run.insert("seed", Value::Int(self.run.seed as i64));
-        run.insert("out_dir", Value::Str(self.run.out_dir.clone()));
-        root.insert("run", run);
-
-        let mut model = Table::new();
-        model.insert("preset", Value::Str(self.model.preset.clone()));
-        if let Some(channels) = &self.model.channels {
-            model.insert(
-                "channels",
-                Value::Array(channels.iter().map(|&c| Value::Int(c as i64)).collect()),
-            );
-        }
-        if let Some(scale) = self.model.scale {
-            model.insert("scale", Value::Float(scale));
-        }
-        model.insert("granularity", Value::Int(self.model.granularity as i64));
-        if let Some(hw) = self.model.input_size {
-            model.insert("input_size", Value::Int(hw as i64));
-        }
-        root.insert("model", model);
-
-        let mut dataset = Table::new();
-        dataset.insert("preset", Value::Str(self.dataset.preset.clone()));
-        if let Some(classes) = self.dataset.classes {
-            dataset.insert("classes", Value::Int(classes as i64));
-        }
-        if let Some(hw) = self.dataset.image_hw {
-            dataset.insert("image_hw", Value::Int(hw as i64));
-        }
-        dataset.insert("train", Value::Int(self.dataset.train as i64));
-        if let Some(val) = self.dataset.val {
-            dataset.insert("val", Value::Int(val as i64));
-        }
-        if let Some(test) = self.dataset.test {
-            dataset.insert("test", Value::Int(test as i64));
-        }
-        if let Some(noise) = self.dataset.noise {
-            dataset.insert("noise", Value::Float(noise));
-        }
-        if let Some(seed) = self.dataset.seed {
-            dataset.insert("seed", Value::Int(seed as i64));
-        }
-        root.insert("dataset", dataset);
-
-        let mut train = Table::new();
-        train.insert("budget_bytes", Value::Int(self.train.budget_bytes as i64));
-        train.insert("batch_limit", Value::Int(self.train.batch_limit as i64));
-        train.insert("rho", Value::Float(self.train.rho));
-        train.insert("lr", Value::Float(self.train.lr));
-        train.insert("momentum", Value::Float(self.train.momentum));
-        train.insert(
-            "epochs_per_block",
-            Value::Int(self.train.epochs_per_block as i64),
-        );
-        train.insert("exit_tolerance", Value::Float(self.train.exit_tolerance));
-        train.insert("evict_params", Value::Bool(self.train.evict_params));
-        train.insert(
-            "kernel_backend",
-            Value::Str(self.train.kernel_backend.name().to_string()),
-        );
-        train.insert("aux_policy", Value::Str(self.train.aux_policy.name()));
-        train.insert("int8_compute", Value::Bool(self.train.int8_compute));
-        root.insert("train", train);
-
-        let mut cache = Table::new();
-        cache.insert("codec", Value::Str(self.cache.codec.name().to_string()));
-        root.insert("cache", cache);
-
-        if let Some(b) = &self.baseline {
-            let mut baseline = Table::new();
-            baseline.insert("epochs", Value::Int(b.epochs as i64));
-            baseline.insert("batch", Value::Int(b.batch as i64));
-            baseline.insert("lr", Value::Float(b.lr));
-            root.insert("baseline", baseline);
-        }
-        if let Some(s) = &self.sweep {
-            let mut sweep = Table::new();
-            sweep.insert(
-                "devices",
-                Value::Array(s.devices.iter().map(|d| Value::Str(d.clone())).collect()),
-            );
-            sweep.insert(
-                "budgets_mb",
-                Value::Array(s.budgets_mb.iter().map(|&b| Value::Int(b as i64)).collect()),
-            );
-            sweep.insert("batch_limit", Value::Int(s.batch_limit as i64));
-            sweep.insert("epochs", Value::Int(s.epochs as i64));
-            sweep.insert("samples", Value::Int(s.samples as i64));
-            root.insert("sweep", sweep);
-        }
-        if let Some(f) = &self.federated {
-            let mut federated = Table::new();
-            federated.insert("clients", Value::Int(f.clients as i64));
-            federated.insert("rounds", Value::Int(f.rounds as i64));
-            federated.insert("threads", Value::Int(f.threads as i64));
-            federated.insert("strategy", Value::Str(f.strategy.clone()));
-            if let Some(seed) = f.seed {
-                federated.insert("seed", Value::Int(seed as i64));
-            }
-            root.insert("federated", federated);
-        }
-        if let Some(s) = &self.serve {
-            let mut serve = Table::new();
-            serve.insert("addr", Value::Str(s.addr.clone()));
-            serve.insert("threshold", Value::Float(s.threshold));
-            serve.insert("max_batch", Value::Int(s.max_batch as i64));
-            serve.insert("queue_capacity", Value::Int(s.queue_capacity as i64));
-            serve.insert("batch_window_us", Value::Int(s.batch_window_us as i64));
-            serve.insert("fast_deadline_us", Value::Int(s.fast_deadline_us as i64));
-            serve.insert(
-                "balanced_deadline_us",
-                Value::Int(s.balanced_deadline_us as i64),
-            );
-            serve.insert("exact_deadline_us", Value::Int(s.exact_deadline_us as i64));
-            serve.insert("replicas", Value::Int(s.replicas as i64));
-            serve.insert("outbox_kib", Value::Int(s.outbox_kib as i64));
-            serve.insert("allow_shutdown", Value::Bool(s.allow_shutdown));
-            root.insert("serve", serve);
-        }
-        if let Some(l) = &self.loadgen {
-            let mut loadgen = Table::new();
-            loadgen.insert("requests", Value::Int(l.requests as i64));
-            loadgen.insert("connections", Value::Int(l.connections as i64));
-            loadgen.insert("inflight", Value::Int(l.inflight as i64));
-            loadgen.insert(
-                "tier_weights",
-                Value::Array(
-                    l.tier_weights
-                        .iter()
-                        .map(|&w| Value::Int(w as i64))
-                        .collect(),
-                ),
-            );
-            if let Some(seed) = l.seed {
-                loadgen.insert("seed", Value::Int(seed as i64));
-            }
-            root.insert("loadgen", loadgen);
-        }
-        root.build()
+        Field::write(self).unwrap_or_else(Value::table)
     }
 
     /// Resolves the dataset section into a generator spec.
@@ -945,12 +871,8 @@ impl RunConfig {
         let f = self.federated.as_ref().ok_or_else(|| {
             CliError::new("config has no [federated] section (required by `nf federated`)")
         })?;
-        if f.clients == 0 {
-            return Err(CliError::config("federated.clients", "must be > 0"));
-        }
-        if f.rounds == 0 {
-            return Err(CliError::config("federated.rounds", "must be > 0"));
-        }
+        ensure(f.clients > 0, "federated.clients", "must be > 0")?;
+        ensure(f.rounds > 0, "federated.rounds", "must be > 0")?;
         let strategy = f
             .strategy
             .parse::<nf_data::ShardStrategy>()
@@ -1006,11 +928,7 @@ impl RunConfig {
 
     /// The `[baseline]` section, or its documented defaults.
     pub fn baseline(&self) -> BaselineSection {
-        self.baseline.clone().unwrap_or(BaselineSection {
-            epochs: 5,
-            batch: 16,
-            lr: 0.05,
-        })
+        self.baseline.clone().unwrap_or_default()
     }
 }
 
@@ -1141,6 +1059,14 @@ kernel_backend = "naive"
             (
                 "[run]\nname=\"x\"\n[model]\npreset=\"tiny\"\nchannels=[4]\n[dataset]\npreset=\"quick\"\nclasses=2\nimage_hw=8\ntrain=8\n[train]\nbudget_mb=1\nbatch_limit=1\nkernel_backend=\"cuda\"",
                 "kernel backend",
+            ),
+            (
+                "[run]\nname=\"x\"\n[model]\npreset=\"tiny\"\nchannels=[4]\n[dataset]\npreset=\"quick\"\nclasses=2\nimage_hw=8\ntrain=8\n[train]\nbudget_mb=1\nbatch_limit=1\nepoch_per_block=5",
+                "config error at `train.epoch_per_block`: unknown key",
+            ),
+            (
+                "[run]\nname=\"x\"\n[model]\npreset=\"vgg16\"\n[dataset]\npreset=\"cifar10\"\ntrain=8\n[train]\nbudget_mb=1\nbatch_limit=1\n[sweep]\ndevice=\"pi4b\"\nbudgets_mb=[1]",
+                "missing required key [sweep].devices",
             ),
         ];
         for (doc, needle) in must_fail {
@@ -1331,6 +1257,9 @@ kernel_backend = "naive"
                 "[loadgen]\ntier_weights = [0, 0, 0]\n",
                 "loadgen.tier_weights",
             ),
+            ("[serve]\nmax_batchs = 4\n", "serve.max_batchs"),
+            ("[serv]\nmax_batch = 4\n", "serv"),
+            ("[loadgen]\nrequest = 4\n", "loadgen.request"),
         ] {
             let err = crate::toml::parse(&format!("{}\n{snippet}", quickstart_toml()))
                 .and_then(|v| RunConfig::from_value(&v))

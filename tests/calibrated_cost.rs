@@ -15,9 +15,11 @@ use nf_tensor::KernelBackend;
 use rand::SeedableRng;
 use std::time::Instant;
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
+/// The fastest of repeated timings: host interference (scheduler,
+/// neighbours, page cache) only ever adds time, so the minimum is the
+/// least disturbed estimate of the true cost.
+fn min(xs: impl IntoIterator<Item = f64>) -> f64 {
+    xs.into_iter().fold(f64::INFINITY, f64::min)
 }
 
 /// Sustained GEMM GFLOP/s of the autotuned backend on a model-shaped
@@ -30,16 +32,14 @@ fn measure_gemm_gflops() -> f64 {
     let mut out = nf_tensor::Tensor::default();
     nf_tensor::matmul_into(KernelBackend::Auto, &a, &b, &mut out).unwrap();
     let flops = 2.0 * 256.0 * 128.0 * 64.0;
-    let times: Vec<f64> = (0..5)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..4 {
-                nf_tensor::matmul_into(KernelBackend::Auto, &a, &b, &mut out).unwrap();
-            }
-            start.elapsed().as_secs_f64() / 4.0
-        })
-        .collect();
-    flops / median(times) / 1e9
+    let times = (0..5).map(|_| {
+        let start = Instant::now();
+        for _ in 0..4 {
+            nf_tensor::matmul_into(KernelBackend::Auto, &a, &b, &mut out).unwrap();
+        }
+        start.elapsed().as_secs_f64() / 4.0
+    });
+    flops / min(times) / 1e9
 }
 
 /// Codec encode/decode bandwidth in GB/s of f32 activation bytes.
@@ -50,34 +50,26 @@ fn measure_codec_gbps() -> (f64, f64) {
     let kind = CodecKind::F32Raw;
     let mut blob = CacheBlob::new();
     kind.encode(&acts, &mut blob);
-    let enc = median(
-        (0..5)
-            .map(|_| {
-                let start = Instant::now();
-                kind.encode(&acts, &mut blob);
-                start.elapsed().as_secs_f64()
-            })
-            .collect(),
-    );
+    let enc = min((0..5).map(|_| {
+        let start = Instant::now();
+        kind.encode(&acts, &mut blob);
+        start.elapsed().as_secs_f64()
+    }));
     let mut out = nf_tensor::Tensor::default();
     kind.decode_into(&blob, &mut out).unwrap();
-    let dec = median(
-        (0..5)
-            .map(|_| {
-                let start = Instant::now();
-                kind.decode_into(&blob, &mut out).unwrap();
-                start.elapsed().as_secs_f64()
-            })
-            .collect(),
-    );
+    let dec = min((0..5).map(|_| {
+        let start = Instant::now();
+        kind.decode_into(&blob, &mut out).unwrap();
+        start.elapsed().as_secs_f64()
+    }));
     (bytes / enc / 1e9, bytes / dec / 1e9)
 }
 
-/// Median wall-clock seconds of one local-learning training step at
-/// `batch` — the same inner loop `bench_json`'s quickstart step times
-/// (forward → aux → backward → SGD per unit), on a smoke-sized model so
-/// the unoptimized test binary stays fast.
-fn measure_step_s(spec: &ModelSpec, batch: usize) -> f64 {
+/// One local-learning training step at `batch` — the same inner loop
+/// `bench_json`'s quickstart step times (forward → aux → backward → SGD
+/// per unit), on a smoke-sized model so the unoptimized test binary stays
+/// fast.
+fn training_step(spec: &ModelSpec, batch: usize) -> impl FnMut() {
     let hw = spec.input.1;
     let classes = spec.classes;
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
@@ -98,7 +90,7 @@ fn measure_step_s(spec: &ModelSpec, batch: usize) -> f64 {
     let images = nf_tensor::uniform_init(&mut rng, &[batch, 3, hw, hw], -1.0, 1.0);
     let labels: Vec<usize> = (0..batch).map(|i| i % classes).collect();
     let sgd = Sgd::new(0.05).with_momentum(0.9);
-    let mut step = || {
+    move || {
         let mut cur = images.clone();
         for (unit, head) in model.units.iter_mut().zip(heads.iter_mut()) {
             let out = unit.forward(&cur, Mode::Train).unwrap();
@@ -110,17 +102,26 @@ fn measure_step_s(spec: &ModelSpec, batch: usize) -> f64 {
             sgd.step(head);
             cur = out;
         }
-    };
-    step(); // warm caches, autotuner, and workspace arenas
-    median(
-        (0..5)
-            .map(|_| {
-                let start = Instant::now();
-                step();
-                start.elapsed().as_secs_f64()
-            })
-            .collect(),
-    )
+    }
+}
+
+/// Fastest wall-clock seconds of one training step at each of `batches`.
+/// The batches' timed steps interleave, so host drift during the
+/// measurement hits all of them alike instead of skewing one.
+fn measure_steps_s(spec: &ModelSpec, batches: [usize; 3]) -> [f64; 3] {
+    let mut steps = batches.map(|batch| training_step(spec, batch));
+    for step in &mut steps {
+        step(); // warm caches, autotuner, and workspace arenas
+    }
+    let mut best = [f64::INFINITY; 3];
+    for _ in 0..5 {
+        for (step, best) in steps.iter_mut().zip(&mut best) {
+            let start = Instant::now();
+            step();
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
+    }
+    best
 }
 
 #[test]
@@ -146,15 +147,11 @@ fn calibrated_model_predicts_step_time_within_25_percent() {
     let mut model = CalibratedCostModel::new(primitives);
     let mut best_rel = f64::INFINITY;
     for _ in 0..3 {
-        let fitted = model.fit_overheads(
-            (4, measure_step_s(&spec, 4)),
-            (16, measure_step_s(&spec, 16)),
-            flops_per_sample,
-        );
+        let [step4, step8, step16] = measure_steps_s(&spec, [4, 8, 16]);
+        let fitted = model.fit_overheads((4, step4), (16, step16), flops_per_sample);
         assert!(fitted);
         let predicted = model.step_time_s(flops_per_sample, 8);
-        let measured = measure_step_s(&spec, 8);
-        best_rel = best_rel.min((predicted - measured).abs() / measured);
+        best_rel = best_rel.min((predicted - step8).abs() / step8);
         if best_rel <= 0.25 {
             break;
         }
