@@ -5,9 +5,9 @@
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
-use crate::value::{Table, Value};
 use neuroflux_core::{Checkpoint, WorkerReport};
 use nf_baselines::{BpTrainer, FaTrainer, LocalLearningTrainer, SpTrainer, TrainReport};
+use nf_lint::{Table, Value};
 use nf_models::UnitSpec;
 use rand::SeedableRng;
 use std::time::Instant;

@@ -12,9 +12,9 @@
 //! tests pin).
 
 use crate::error::{CliError, Result};
-use crate::value::{Table, Value};
 use neuroflux_core::{CodecKind, NeuroFluxConfig};
 use nf_data::SyntheticSpec;
+use nf_lint::{Table, Value};
 use nf_models::{AuxPolicy, ModelSpec};
 use nf_tensor::KernelBackend;
 use serde::{Deserialize, Serialize};
@@ -680,9 +680,9 @@ impl RunConfig {
     /// extension; anything other than `.json` parses as TOML).
     pub fn load(path: &std::path::Path) -> Result<RunConfig> {
         let value = if path.extension().is_some_and(|e| e == "json") {
-            crate::json::parse_file(path)?
+            nf_lint::json::parse_file(path)?
         } else {
-            crate::toml::parse_file(path)?
+            nf_lint::toml::parse_file(path)?
         };
         Self::from_value(&value)
     }
@@ -971,7 +971,7 @@ epochs_per_block = 2
     }
 
     fn parse_config(text: &str) -> RunConfig {
-        RunConfig::from_value(&crate::toml::parse(text).unwrap()).unwrap()
+        RunConfig::from_value(&nf_lint::toml::parse(text).unwrap()).unwrap()
     }
 
     #[test]
@@ -1068,9 +1068,14 @@ kernel_backend = "naive"
                 "[run]\nname=\"x\"\n[model]\npreset=\"vgg16\"\n[dataset]\npreset=\"cifar10\"\ntrain=8\n[train]\nbudget_mb=1\nbatch_limit=1\n[sweep]\ndevice=\"pi4b\"\nbudgets_mb=[1]",
                 "missing required key [sweep].devices",
             ),
+            (
+                "[run]\nname=\"x\"\n[model]\npreset=\"tiny\"\nchannels=[4]\n[dataset]\npreset=\"quick\"\ntrain=8\n[[train]]\nbudget_mb=1\nbatch_limit=1",
+                "config error at `train`: must be a table",
+            ),
         ];
         for (doc, needle) in must_fail {
-            let err = crate::toml::parse(doc)
+            let err = nf_lint::toml::parse(doc)
+                .map_err(CliError::from)
                 .and_then(|v| RunConfig::from_value(&v))
                 .unwrap_err()
                 .to_string();
@@ -1101,10 +1106,11 @@ kernel_backend = "naive"
         assert_eq!((fed.clients, fed.rounds, fed.threads), (4, 3, 0));
         assert_eq!(fed.seed, cfg.run.seed);
         // A typo'd strategy fails at parse time with the key path.
-        let err = crate::toml::parse(&format!(
+        let err = nf_lint::toml::parse(&format!(
             "{}\n[federated]\nstrategy = \"zipf\"\n",
             quickstart_toml()
         ))
+        .map_err(CliError::from)
         .and_then(|v| RunConfig::from_value(&v))
         .unwrap_err()
         .to_string();
@@ -1143,10 +1149,11 @@ kernel_backend = "naive"
         }
 
         // A typo'd codec is a typed config error carrying the key path.
-        let err = crate::toml::parse(&format!(
+        let err = nf_lint::toml::parse(&format!(
             "{}\n[cache]\ncodec = \"f64\"\n",
             quickstart_toml()
         ))
+        .map_err(CliError::from)
         .and_then(|v| RunConfig::from_value(&v))
         .unwrap_err();
         match &err {
@@ -1179,7 +1186,8 @@ kernel_backend = "naive"
         assert!(!cfg.resolve_train().unwrap().int8_compute);
 
         // Non-boolean values are typed config errors naming the key.
-        let err = crate::toml::parse(&format!("{}\nint8_compute = \"yes\"\n", quickstart_toml()))
+        let err = nf_lint::toml::parse(&format!("{}\nint8_compute = \"yes\"\n", quickstart_toml()))
+            .map_err(CliError::from)
             .and_then(|v| RunConfig::from_value(&v))
             .unwrap_err()
             .to_string();
@@ -1261,7 +1269,8 @@ kernel_backend = "naive"
             ("[serv]\nmax_batch = 4\n", "serv"),
             ("[loadgen]\nrequest = 4\n", "loadgen.request"),
         ] {
-            let err = crate::toml::parse(&format!("{}\n{snippet}", quickstart_toml()))
+            let err = nf_lint::toml::parse(&format!("{}\n{snippet}", quickstart_toml()))
+                .map_err(CliError::from)
                 .and_then(|v| RunConfig::from_value(&v))
                 .unwrap_err();
             match &err {
@@ -1273,9 +1282,10 @@ kernel_backend = "naive"
 
     #[test]
     fn tiny_preset_requires_channels() {
-        let err = crate::toml::parse(
+        let err = nf_lint::toml::parse(
             "[run]\nname=\"x\"\n[model]\npreset=\"tiny\"\n[dataset]\npreset=\"quick\"\nclasses=2\nimage_hw=8\ntrain=8\n[train]\nbudget_mb=1\nbatch_limit=1",
         )
+        .map_err(CliError::from)
         .and_then(|v| RunConfig::from_value(&v))
         .unwrap_err()
         .to_string();

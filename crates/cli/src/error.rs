@@ -71,6 +71,15 @@ impl From<neuroflux_core::NfError> for CliError {
     }
 }
 
+impl From<nf_lint::DocError> for CliError {
+    fn from(e: nf_lint::DocError) -> Self {
+        match e {
+            nf_lint::DocError::Config { path, message } => CliError::Config { path, message },
+            other => CliError::Msg(other.to_string()),
+        }
+    }
+}
+
 impl From<nf_nn::NnError> for CliError {
     fn from(e: nf_nn::NnError) -> Self {
         CliError::Msg(e.to_string())

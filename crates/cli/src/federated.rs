@@ -12,8 +12,8 @@
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
-use crate::value::{Table, Value};
 use neuroflux_core::{run_federated, FederatedOutcome};
+use nf_lint::{Table, Value};
 use rand::SeedableRng;
 use std::time::Instant;
 

@@ -37,7 +37,6 @@ pub mod config;
 pub mod error;
 pub mod federated;
 pub mod inspect;
-pub mod json;
 pub mod loadgen;
 pub mod net;
 pub mod progress;
@@ -45,9 +44,7 @@ pub mod proto;
 pub mod rundir;
 pub mod serve;
 pub mod sweep;
-pub mod toml;
 pub mod train;
-pub mod value;
 
 pub use baseline::{run_baseline, Paradigm};
 pub use config::RunConfig;
@@ -62,4 +59,6 @@ pub use serve::{
 };
 pub use sweep::run_sweep;
 pub use train::{run_train, TrainOptions, TrainSummary};
-pub use value::{Table, Value};
+// The document codec lives in nf-lint; these paths stay for the bench
+// tools and tests that read and write documents through `nf_cli`.
+pub use nf_lint::{json, toml, Table, Value};

@@ -25,9 +25,9 @@ use crate::net::reactor::{read_ready, FrameAssembler, ReadEnd, WriteQueue, READ_
 use crate::net::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::proto::{self, RejectReason, Request, Response};
 use crate::serve::{build_engines, start_server_with_engines};
-use crate::value::{Table, Value};
 use neuroflux_core::serve::splitmix64;
 use neuroflux_core::{latency_percentiles, SloTier};
+use nf_lint::{Table, Value};
 use std::collections::HashMap;
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;

@@ -5,9 +5,9 @@
 use crate::config::RunConfig;
 use crate::error::{CliError, Result};
 use crate::rundir::RunDir;
-use crate::value::{Table, Value};
 use neuroflux_core::codec::{ActivationCodec, CacheBlob, CodecKind};
 use neuroflux_core::simulate::{sweep_point, SimConfig, SimulatedRun};
+use nf_lint::{Table, Value};
 use nf_memsim::{DeviceProfile, MeasuredPrimitives};
 use std::time::Instant;
 

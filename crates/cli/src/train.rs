@@ -11,11 +11,11 @@ use crate::config::RunConfig;
 use crate::error::{CliError, Result};
 use crate::progress::ProgressPrinter;
 use crate::rundir::RunDir;
-use crate::value::{Table, Value};
 use neuroflux_core::{
     Checkpoint, DiskStore, FileCheckpoint, NeuroFluxOutcome, NeuroFluxTrainer, RunHooks,
     TrainEvent, TrainHooks,
 };
+use nf_lint::{Table, Value};
 use rand::SeedableRng;
 use std::time::Instant;
 

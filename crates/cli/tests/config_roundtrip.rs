@@ -1,9 +1,13 @@
 //! Config serde round-trip: TOML file → `RunConfig` → rendered snapshot →
 //! `RunConfig`, asserting full equality (the property `runs/<name>/config.toml`
-//! snapshots rely on), and the schema documentation in `DESIGN.md` §6
-//! pinned to the schema.
+//! snapshots rely on), the schema documentation in `DESIGN.md` §6
+//! pinned to the schema, and random documents round-tripping through the
+//! JSON and TOML codecs.
 
-use nf_cli::RunConfig;
+use nf_cli::{RunConfig, Table, Value};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -120,4 +124,110 @@ fn spec_serialization_survives_model_resolution() {
     let back = nf_cli::json::parse(&json).unwrap();
     let from_json = RunConfig::from_value(back.get("config").unwrap()).unwrap();
     assert_eq!(from_json, cfg);
+}
+
+/// Random documents for the codec round trip: finite floats (whole ones
+/// from 1e15 up included), strings with quotes, `#`, backslashes, control
+/// characters and non-ASCII, nested tables, and arrays. TOML documents
+/// leave out `Null` and arrays of tables, which the TOML renderer does not
+/// write, use bare keys, and list scalars before sub-tables, the order
+/// the renderer writes them in.
+struct Doc {
+    toml: bool,
+}
+
+impl Strategy for Doc {
+    type Value = Value;
+
+    fn sample(&self, rng: &mut StdRng) -> Value {
+        random_table(rng, self.toml, 0)
+    }
+}
+
+fn random_table(rng: &mut StdRng, toml: bool, depth: usize) -> Value {
+    let mut table = Table::new();
+    for i in 0..rng.gen_range(0..5) {
+        let key = if toml {
+            format!(
+                "{}{i}",
+                ["k", "snake_key", "kebab-key"][rng.gen_range(0..3usize)]
+            )
+        } else {
+            random_string(rng)
+        };
+        let value = if rng.gen_bool(0.25) {
+            let items = 0..rng.gen_range(0..4);
+            Value::Array(items.map(|_| random_item(rng, toml, depth)).collect())
+        } else {
+            random_scalar(rng, toml)
+        };
+        table.insert(&key, value);
+    }
+    if depth < 2 {
+        for i in 0..rng.gen_range(0..3) {
+            table.insert(&format!("t{i}"), random_table(rng, toml, depth + 1));
+        }
+    }
+    table.build()
+}
+
+fn random_item(rng: &mut StdRng, toml: bool, depth: usize) -> Value {
+    if toml || depth >= 2 || rng.gen_bool(0.7) {
+        random_scalar(rng, toml)
+    } else {
+        random_table(rng, toml, depth + 1)
+    }
+}
+
+fn random_scalar(rng: &mut StdRng, toml: bool) -> Value {
+    match rng.gen_range(0..if toml { 5 } else { 6 }) {
+        0 => Value::Bool(rng.gen_bool(0.5)),
+        1 => Value::Int(rng.next_u64() as i64),
+        2 | 3 => Value::Float(random_float(rng)),
+        4 => Value::Str(random_string(rng)),
+        _ => Value::Null,
+    }
+}
+
+fn random_float(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..3) {
+        0 => rng.gen_range(-1e6f64..1e6),
+        // Whole floats from 1e15 up, which `{f}` prints with no fraction.
+        1 => {
+            let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+            (sign * 10f64.powi(rng.gen_range(15..300)) * rng.gen_range(1.0f64..10.0)).trunc()
+        }
+        _ => loop {
+            let f = f64::from_bits(rng.next_u64());
+            if f.is_finite() {
+                break f;
+            }
+        },
+    }
+}
+
+fn random_string(rng: &mut StdRng) -> String {
+    const CHARS: &[char] = &[
+        'a', 'Z', '0', ' ', '"', '#', '\\', '=', '[', ']', '.', ',', '\n', '\t', '\r', '\u{0}',
+        '\u{1}', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}', 'é', '中', '🦀',
+    ];
+    (0..rng.gen_range(0..8))
+        .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn documents_round_trip_through_json_and_toml(
+        json_doc in Doc { toml: false },
+        toml_doc in Doc { toml: true },
+    ) {
+        let json = json_doc.to_json();
+        let back = nf_cli::json::parse(&json).map_err(|e| e.to_string());
+        prop_assert_eq!(back, Ok(json_doc));
+        let toml = toml_doc.to_toml();
+        let back = nf_cli::toml::parse(&toml).map_err(|e| e.to_string());
+        prop_assert_eq!(back, Ok(toml_doc));
+    }
 }

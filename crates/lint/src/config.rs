@@ -1,13 +1,15 @@
 //! Typed lint configuration, loaded from a committed `lint.toml`.
 //!
-//! The parser handles the TOML subset the config actually uses —
-//! `[section]` headers, `[[array-of-tables]]` headers, `key = "string"`,
-//! `key = ["array", "of", "strings"]`, `key = true/false`, comments —
-//! and rejects everything else with a typed error. Unknown rule names
-//! and unknown keys are errors too: a typo in `lint.toml` must not
-//! silently disable a rule.
+//! The document parses through the workspace's one TOML parser
+//! ([`crate::toml`]); this module reads the typed settings out of the
+//! parsed tree. Unknown sections, rule names and keys, and values of the
+//! wrong kind, are errors: a typo in `lint.toml` must not silently
+//! disable a rule. Errors point at the line of the offending section or
+//! entry header.
 
 use crate::rules::Rule;
+use crate::toml::Header;
+use crate::value::{DocError, Value};
 use std::fmt;
 
 /// A parse or validation error in `lint.toml`.
@@ -121,97 +123,192 @@ impl LintConfig {
     }
 }
 
-/// A parsed TOML value (only the shapes the config uses).
-enum Value {
-    Str(String),
-    Array(Vec<String>),
-    Bool(bool),
-}
-
-/// Parses one value starting after `=`.
-fn parse_value(raw: &str, line: usize) -> Result<Value, ConfigError> {
-    let raw = raw.trim();
-    if raw == "true" {
-        return Ok(Value::Bool(true));
-    }
-    if raw == "false" {
-        return Ok(Value::Bool(false));
-    }
-    if let Some(body) = raw.strip_prefix('"') {
-        let Some(body) = body.strip_suffix('"') else {
-            return err(line, "unterminated string");
-        };
-        if body.contains('"') {
-            return err(line, "embedded quotes are not supported");
-        }
-        return Ok(Value::Str(body.to_string()));
-    }
-    if let Some(body) = raw.strip_prefix('[') {
-        let Some(body) = body.strip_suffix(']') else {
-            return err(line, "arrays must close on the same line");
-        };
-        let mut items = Vec::new();
-        for piece in body.split(',') {
-            let piece = piece.trim();
-            if piece.is_empty() {
-                continue;
+/// Parses the full `lint.toml` text into a validated [`LintConfig`].
+pub fn parse(text: &str) -> Result<LintConfig, ConfigError> {
+    let (doc, headers) = crate::toml::parse_with_headers(text).map_err(|e| match e {
+        DocError::Toml { line, message } => ConfigError { line, message },
+        // A structural conflict names its line in the message.
+        other => ConfigError {
+            line: 0,
+            message: other.to_string(),
+        },
+    })?;
+    let line_of = |path: &[&str]| {
+        headers
+            .iter()
+            .find(|h| h.path == path)
+            .map_or(0, |h| h.line)
+    };
+    let mut cfg = LintConfig::default();
+    for (key, value) in doc.entries().unwrap_or_default() {
+        match key.as_str() {
+            "rules" if value.entries().is_some() => {
+                for (name, table) in value.entries().unwrap_or_default() {
+                    let line = line_of(&["rules", name]);
+                    let Some(rule) = Rule::from_name(name) else {
+                        return err(line, format!("unknown rule `{name}`"));
+                    };
+                    read_rule(&mut cfg, rule, table, line)?;
+                }
             }
-            let Some(s) = piece.strip_prefix('"').and_then(|p| p.strip_suffix('"')) else {
-                return err(line, format!("array item `{piece}` is not a string"));
-            };
-            items.push(s.to_string());
-        }
-        return Ok(Value::Array(items));
-    }
-    err(line, format!("unsupported value `{raw}`"))
-}
-
-/// Strips a trailing `# comment` that is not inside a string.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
+            "allow" => {
+                for (entry, line) in entries(value, key, &headers)? {
+                    cfg.allows.push(read_allow(entry, line)?);
+                }
+            }
+            "unsafe-module" => {
+                for (entry, line) in entries(value, key, &headers)? {
+                    cfg.unsafe_modules.push(read_unsafe_module(entry, line)?);
+                }
+            }
+            other if value.entries().is_some() => {
+                return err(line_of(&[other]), format!("unknown section `[{other}]`"));
+            }
+            other => return err(0, format!("key `{other}` outside any section")),
         }
     }
-    line
+    Ok(cfg)
 }
 
-/// What table the parser is currently filling.
-enum Section {
-    None,
-    Rule(Rule),
-    Allow,
-    UnsafeModule,
+/// The tables of the `[[name]]` entries, each with its header's line.
+fn entries<'a>(
+    value: &'a Value,
+    name: &str,
+    headers: &[Header],
+) -> Result<Vec<(&'a Value, usize)>, ConfigError> {
+    let mut lines = headers
+        .iter()
+        .filter(|h| h.array && h.path == [name])
+        .map(|h| h.line);
+    let Some(items) = value.as_array() else {
+        return err(0, format!("`{name}` must be a list of [[{name}]] entries"));
+    };
+    Ok(items
+        .iter()
+        .map(|item| (item, lines.next().unwrap_or(0)))
+        .collect())
 }
 
-/// In-progress `[[allow]]` entry before validation.
-#[derive(Default)]
-struct PendingAllow {
-    rule: Option<Rule>,
-    path: Option<String>,
-    pattern: Option<String>,
-    func: Option<String>,
-    justification: Option<String>,
+/// An array of strings, or `None` for any other value.
+fn strings(value: &Value) -> Option<Vec<String>> {
+    value
+        .as_array()?
+        .iter()
+        .map(|item| item.as_str().map(str::to_string))
+        .collect()
+}
+
+/// Reads one `[rules.<name>]` table into `rule`'s scope. Appearing in the
+/// file turns the rule on unless it sets `enabled = false` explicitly.
+fn read_rule(
+    cfg: &mut LintConfig,
+    rule: Rule,
+    table: &Value,
     line: usize,
+) -> Result<(), ConfigError> {
+    let scope = match rule {
+        Rule::HotPathAlloc => &mut cfg.hot_path_alloc,
+        Rule::NoPanic => &mut cfg.no_panic,
+        Rule::UnsafeConfinement => &mut cfg.unsafe_confinement,
+        Rule::ClockDiscipline => &mut cfg.clock_discipline,
+        Rule::Determinism => &mut cfg.determinism,
+        Rule::LintHygiene => &mut cfg.lint_hygiene,
+    };
+    let Some(keys) = table.entries() else {
+        return err(line, format!("`rules.{}` must be a table", rule.name()));
+    };
+    scope.enabled = true;
+    for (key, value) in keys {
+        match (rule, key.as_str(), value.as_bool(), strings(value)) {
+            (_, "enabled", Some(on), _) => scope.enabled = on,
+            (_, "paths", _, Some(items)) => scope.paths = items,
+            (_, "exclude", _, Some(items)) => scope.exclude = items,
+            (Rule::HotPathAlloc, "kernel_paths", _, Some(items)) => cfg.kernel_paths = items,
+            (Rule::HotPathAlloc, "into_paths", _, Some(items)) => cfg.into_paths = items,
+            (Rule::HotPathAlloc, "kernel_paths" | "into_paths", _, None) => {
+                return err(line, format!("{key} must be an array of strings"));
+            }
+            (Rule::UnsafeConfinement, "allowed", ..) => {
+                // The bare suffix list predates justifications; refuse it
+                // with a pointer so a stale config fails loudly.
+                return err(
+                    line,
+                    "`allowed` was replaced by [[unsafe-module]] entries \
+                     (path + mandatory justification)",
+                );
+            }
+            (_, other, ..) => {
+                return err(
+                    line,
+                    format!(
+                        "unknown or mistyped key `{other}` for rule `{}`",
+                        rule.name()
+                    ),
+                )
+            }
+        }
+    }
+    Ok(())
 }
 
-/// In-progress `[[unsafe-module]]` entry before validation.
-#[derive(Default)]
-struct PendingUnsafeModule {
-    path: Option<String>,
-    justification: Option<String>,
+/// Checks that `entry` (an `[[<name>]]` table) sets only string-valued
+/// `keys`, and returns a reader for them.
+fn string_keys<'a>(
+    entry: &'a Value,
+    name: &str,
+    keys: &[&str],
     line: usize,
+) -> Result<impl Fn(&str) -> Option<String> + 'a, ConfigError> {
+    for (key, value) in entry.entries().unwrap_or_default() {
+        if !keys.contains(&key.as_str()) || value.as_str().is_none() {
+            return err(
+                line,
+                format!("unknown or mistyped key `{key}` in [[{name}]]"),
+            );
+        }
+    }
+    Ok(|key: &str| entry.get(key).and_then(Value::as_str).map(str::to_string))
 }
 
-fn finish_unsafe_module(pending: PendingUnsafeModule) -> Result<UnsafeModule, ConfigError> {
-    let line = pending.line;
-    let Some(path) = pending.path else {
+fn read_allow(entry: &Value, line: usize) -> Result<AllowEntry, ConfigError> {
+    let get = string_keys(
+        entry,
+        "allow",
+        &["rule", "path", "pattern", "fn", "justification"],
+        line,
+    )?;
+    let Some(name) = get("rule") else {
+        return err(line, "[[allow]] entry is missing `rule`");
+    };
+    let Some(rule) = Rule::from_name(&name) else {
+        return err(line, format!("unknown rule `{name}` in [[allow]]"));
+    };
+    let Some(path) = get("path") else {
+        return err(line, "[[allow]] entry is missing `path`");
+    };
+    let justification = get("justification").unwrap_or_default();
+    if justification.trim().is_empty() {
+        return err(
+            line,
+            "[[allow]] entry has no justification — every suppression must say why",
+        );
+    }
+    Ok(AllowEntry {
+        rule,
+        path,
+        pattern: get("pattern"),
+        func: get("fn"),
+        justification,
+        line,
+    })
+}
+
+fn read_unsafe_module(entry: &Value, line: usize) -> Result<UnsafeModule, ConfigError> {
+    let get = string_keys(entry, "unsafe-module", &["path", "justification"], line)?;
+    let Some(path) = get("path") else {
         return err(line, "[[unsafe-module]] entry is missing `path`");
     };
-    let justification = pending.justification.unwrap_or_default();
+    let justification = get("justification").unwrap_or_default();
     if justification.trim().is_empty() {
         return err(
             line,
@@ -223,235 +320,6 @@ fn finish_unsafe_module(pending: PendingUnsafeModule) -> Result<UnsafeModule, Co
         justification,
         line,
     })
-}
-
-fn finish_allow(pending: PendingAllow) -> Result<AllowEntry, ConfigError> {
-    let line = pending.line;
-    let Some(rule) = pending.rule else {
-        return err(line, "[[allow]] entry is missing `rule`");
-    };
-    let Some(path) = pending.path else {
-        return err(line, "[[allow]] entry is missing `path`");
-    };
-    let justification = pending.justification.unwrap_or_default();
-    if justification.trim().is_empty() {
-        return err(
-            line,
-            "[[allow]] entry has no justification — every suppression must say why",
-        );
-    }
-    Ok(AllowEntry {
-        rule,
-        path,
-        pattern: pending.pattern,
-        func: pending.func,
-        justification,
-        line,
-    })
-}
-
-/// Assigns `key = value` into the scope for `rule`, or errors.
-fn assign_rule_key(
-    cfg: &mut LintConfig,
-    rule: Rule,
-    key: &str,
-    value: Value,
-    line: usize,
-) -> Result<(), ConfigError> {
-    // Rule-specific keys first.
-    match (rule, key) {
-        (Rule::HotPathAlloc, "kernel_paths") => {
-            if let Value::Array(items) = value {
-                cfg.kernel_paths = items;
-                return Ok(());
-            }
-            return err(line, "kernel_paths must be an array of strings");
-        }
-        (Rule::HotPathAlloc, "into_paths") => {
-            if let Value::Array(items) = value {
-                cfg.into_paths = items;
-                return Ok(());
-            }
-            return err(line, "into_paths must be an array of strings");
-        }
-        (Rule::UnsafeConfinement, "allowed") => {
-            // The bare suffix list predates justifications; refuse it
-            // with a pointer so a stale config fails loudly.
-            return err(
-                line,
-                "`allowed` was replaced by [[unsafe-module]] entries \
-                 (path + mandatory justification)",
-            );
-        }
-        _ => {}
-    }
-    let scope = match rule {
-        Rule::HotPathAlloc => &mut cfg.hot_path_alloc,
-        Rule::NoPanic => &mut cfg.no_panic,
-        Rule::UnsafeConfinement => &mut cfg.unsafe_confinement,
-        Rule::ClockDiscipline => &mut cfg.clock_discipline,
-        Rule::Determinism => &mut cfg.determinism,
-        Rule::LintHygiene => &mut cfg.lint_hygiene,
-    };
-    match (key, value) {
-        ("enabled", Value::Bool(b)) => scope.enabled = b,
-        ("paths", Value::Array(items)) => scope.paths = items,
-        ("exclude", Value::Array(items)) => scope.exclude = items,
-        (other, _) => {
-            return err(
-                line,
-                format!(
-                    "unknown or mistyped key `{other}` for rule `{}`",
-                    rule.name()
-                ),
-            )
-        }
-    }
-    Ok(())
-}
-
-/// Parses the full `lint.toml` text into a validated [`LintConfig`].
-pub fn parse(text: &str) -> Result<LintConfig, ConfigError> {
-    let mut cfg = LintConfig::default();
-    // Rules default to enabled once their section appears; a section is
-    // required for each rule so the config is self-documenting.
-    let mut section = Section::None;
-    let mut pending: Option<PendingAllow> = None;
-    let mut pending_module: Option<PendingUnsafeModule> = None;
-
-    let mut lines = text.lines().enumerate().peekable();
-    while let Some((idx, raw_line)) = lines.next() {
-        let lineno = idx + 1;
-        let mut joined;
-        let mut line = strip_comment(raw_line).trim();
-        if line.is_empty() {
-            continue;
-        }
-        // Multi-line arrays: a `key = [` opener joins lines until the
-        // bracket closes. (Only when the *value* starts with `[` — a
-        // bracket inside a string value is not an array.)
-        let opens_array = line
-            .split_once('=')
-            .is_some_and(|(_, v)| v.trim_start().starts_with('['));
-        if opens_array && !line.ends_with(']') {
-            joined = line.to_string();
-            for (_, cont) in lines.by_ref() {
-                let cont = strip_comment(cont).trim();
-                joined.push(' ');
-                joined.push_str(cont);
-                if cont.ends_with(']') {
-                    break;
-                }
-            }
-            line = joined.as_str();
-        }
-        if line == "[[allow]]" {
-            if let Some(p) = pending.take() {
-                cfg.allows.push(finish_allow(p)?);
-            }
-            if let Some(m) = pending_module.take() {
-                cfg.unsafe_modules.push(finish_unsafe_module(m)?);
-            }
-            pending = Some(PendingAllow {
-                line: lineno,
-                ..PendingAllow::default()
-            });
-            section = Section::Allow;
-            continue;
-        }
-        if line == "[[unsafe-module]]" {
-            if let Some(p) = pending.take() {
-                cfg.allows.push(finish_allow(p)?);
-            }
-            if let Some(m) = pending_module.take() {
-                cfg.unsafe_modules.push(finish_unsafe_module(m)?);
-            }
-            pending_module = Some(PendingUnsafeModule {
-                line: lineno,
-                ..PendingUnsafeModule::default()
-            });
-            section = Section::UnsafeModule;
-            continue;
-        }
-        if let Some(name) = line
-            .strip_prefix("[rules.")
-            .and_then(|r| r.strip_suffix(']'))
-        {
-            if let Some(p) = pending.take() {
-                cfg.allows.push(finish_allow(p)?);
-            }
-            if let Some(m) = pending_module.take() {
-                cfg.unsafe_modules.push(finish_unsafe_module(m)?);
-            }
-            let Some(rule) = Rule::from_name(name) else {
-                return err(lineno, format!("unknown rule `{name}`"));
-            };
-            // Appearing in the file turns the rule on unless it sets
-            // `enabled = false` explicitly.
-            assign_rule_key(&mut cfg, rule, "enabled", Value::Bool(true), lineno)?;
-            section = Section::Rule(rule);
-            continue;
-        }
-        if line.starts_with('[') {
-            return err(lineno, format!("unknown section `{line}`"));
-        }
-        let Some((key, raw_value)) = line.split_once('=') else {
-            return err(lineno, format!("expected `key = value`, got `{line}`"));
-        };
-        let key = key.trim();
-        let value = parse_value(raw_value, lineno)?;
-        match &mut section {
-            Section::None => {
-                return err(lineno, format!("key `{key}` outside any section"));
-            }
-            Section::Rule(rule) => assign_rule_key(&mut cfg, *rule, key, value, lineno)?,
-            Section::Allow => {
-                let Some(p) = pending.as_mut() else {
-                    return err(lineno, "internal: allow section without entry");
-                };
-                match (key, value) {
-                    ("rule", Value::Str(s)) => {
-                        let Some(rule) = Rule::from_name(&s) else {
-                            return err(lineno, format!("unknown rule `{s}` in [[allow]]"));
-                        };
-                        p.rule = Some(rule);
-                    }
-                    ("path", Value::Str(s)) => p.path = Some(s),
-                    ("pattern", Value::Str(s)) => p.pattern = Some(s),
-                    ("fn", Value::Str(s)) => p.func = Some(s),
-                    ("justification", Value::Str(s)) => p.justification = Some(s),
-                    (other, _) => {
-                        return err(
-                            lineno,
-                            format!("unknown or mistyped key `{other}` in [[allow]]"),
-                        )
-                    }
-                }
-            }
-            Section::UnsafeModule => {
-                let Some(m) = pending_module.as_mut() else {
-                    return err(lineno, "internal: unsafe-module section without entry");
-                };
-                match (key, value) {
-                    ("path", Value::Str(s)) => m.path = Some(s),
-                    ("justification", Value::Str(s)) => m.justification = Some(s),
-                    (other, _) => {
-                        return err(
-                            lineno,
-                            format!("unknown or mistyped key `{other}` in [[unsafe-module]]"),
-                        )
-                    }
-                }
-            }
-        }
-    }
-    if let Some(p) = pending.take() {
-        cfg.allows.push(finish_allow(p)?);
-    }
-    if let Some(m) = pending_module.take() {
-        cfg.unsafe_modules.push(finish_unsafe_module(m)?);
-    }
-    Ok(cfg)
 }
 
 #[cfg(test)]
@@ -536,5 +404,51 @@ justification = "epoll bindings"
         assert!(parse("[rules.no-such-rule]\n").is_err());
         assert!(parse("[rules.no-panic]\nbogus = true\n").is_err());
         assert!(parse("[[allow]]\nrule = \"no-panic\"\n").is_err());
+        // Validation errors point at their section header, parse errors
+        // at the offending line.
+        assert_eq!(
+            parse("# c\n[rules.no-panic]\nbogus = true\n")
+                .unwrap_err()
+                .line,
+            2
+        );
+        assert_eq!(
+            parse("[rules.no-panic]\npaths = [\n\"a\",\n")
+                .unwrap_err()
+                .line,
+            2
+        );
+        assert_eq!(
+            parse("\n[rules.no-panic]\npaths = 1 2\n").unwrap_err().line,
+            3
+        );
+    }
+
+    #[test]
+    fn unused_allow_reports_its_header_line() {
+        let cfg = parse(
+            "# one\n# two\n\n[rules.determinism]\npaths = [\n  \"crates/\", # all\n]\n\n\
+             # why\n[[allow]]\nrule = \"determinism\"\npath = \"crates/x.rs\"\n\
+             justification = \"never iterated\"\n",
+        )
+        .unwrap();
+        // No workspace files: the allow matches nothing.
+        let run = crate::engine::run(std::path::Path::new("no-such-workspace"), &cfg).unwrap();
+        assert_eq!(run.unused_allows.len(), 1);
+        let report = crate::render_human(&run);
+        assert!(
+            report.contains("unused [[allow]] (lint.toml:10)"),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn committed_lint_toml_parses() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint.toml");
+        let cfg = parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let enabled = Rule::ALL.into_iter().filter(|&r| cfg.scope(r).enabled);
+        assert_eq!(enabled.count(), 6);
+        assert_eq!(cfg.allows.len(), 20);
+        assert_eq!(cfg.unsafe_modules.len(), 3);
     }
 }

@@ -8,10 +8,12 @@
 //! outside `Clock` impls (PR 8's idle-CPU test), `HashMap`-free code
 //! where bit-identity is pinned, and crate-root lint hygiene.
 //!
-//! Deliberately dependency-free: a hand-rolled lexer ([`lexer`]), a
-//! TOML-subset config parser ([`config`]), and a JSON writer
-//! ([`report`]) mean the checker builds wherever the toolchain does and
-//! is never skewed by the code it checks. Driven by the committed
+//! Deliberately dependency-free: a hand-rolled lexer ([`lexer`]) and
+//! document codec mean the checker builds wherever the toolchain does
+//! and is never skewed by the code it checks. The codec — the [`Value`]
+//! tree, the [`toml`] and [`json`] parsers, and the renderers on
+//! [`Value`] — is the workspace's only one: `nf-cli` reads its configs
+//! and writes its artifacts through it too. Driven by the committed
 //! `lint.toml`, whose every `[[allow]]` entry must carry a
 //! justification string.
 //!
@@ -24,14 +26,18 @@
 pub mod analysis;
 pub mod config;
 pub mod engine;
+pub mod json;
 pub mod lexer;
 pub mod report;
 pub mod rules;
+pub mod toml;
+pub mod value;
 
 pub use config::{ConfigError, LintConfig};
 pub use engine::{run, workspace_files, EngineError, RunResult};
 pub use report::{render_human, render_json};
 pub use rules::{Finding, Rule};
+pub use value::{DocError, Table, Value};
 
 use std::path::Path;
 

@@ -1,76 +1,41 @@
 //! Rendering: machine-readable JSON and human-readable text.
 //!
-//! The JSON writer is hand-rolled (no serde — this crate is
-//! dependency-free by design); the only dynamic strings are file paths,
-//! excerpts, and help text, all escaped through [`json_escape`].
+//! The JSON report is a [`Table`] rendered by the workspace's one JSON
+//! writer ([`Value::to_json`]), which escapes the dynamic strings (file
+//! paths, excerpts, help text).
 
 use crate::engine::RunResult;
+use crate::value::{Table, Value};
 use std::fmt::Write as _;
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders the run as a single JSON object.
 pub fn render_json(result: &RunResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"tool\": \"nf-lint\",\n");
-    let _ = writeln!(out, "  \"files_scanned\": {},", result.files_scanned);
-    let _ = writeln!(out, "  \"allows_used\": {},", result.allows_used);
-    out.push_str("  \"unused_allows\": [");
-    for (i, a) in result.unused_allows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(
-            out,
-            "{{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}}}",
-            a.rule.name(),
-            json_escape(&a.path),
-            a.line
-        );
-    }
-    out.push_str("],\n  \"findings\": [");
-    for (i, f) in result.findings.iter().enumerate() {
-        out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        let func = f
-            .func
-            .as_deref()
-            .map(|x| format!("\"{}\"", json_escape(x)))
-            .unwrap_or_else(|| "null".to_string());
-        let _ = write!(
-            out,
-            "{{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"fn\": {}, \
-             \"excerpt\": \"{}\", \"help\": \"{}\"}}",
-            f.rule.name(),
-            json_escape(&f.file),
-            f.line,
-            func,
-            json_escape(&f.excerpt),
-            json_escape(&f.help),
-        );
-    }
-    if result.findings.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
-    }
-    out
+    let text = |s: &str| Value::Str(s.to_string());
+    let count = |n: usize| Value::Int(n as i64);
+    let mut doc = Table::new();
+    doc.insert("tool", text("nf-lint"));
+    doc.insert("files_scanned", count(result.files_scanned));
+    doc.insert("allows_used", count(result.allows_used));
+    let unused = result.unused_allows.iter().map(|a| {
+        let mut t = Table::new();
+        t.insert("rule", text(a.rule.name()));
+        t.insert("path", text(&a.path));
+        t.insert("line", count(a.line));
+        t.build()
+    });
+    doc.insert("unused_allows", Value::Array(unused.collect()));
+    let findings = result.findings.iter().map(|f| {
+        let mut t = Table::new();
+        t.insert("rule", text(f.rule.name()));
+        t.insert("file", text(&f.file));
+        t.insert("line", count(f.line));
+        t.insert("fn", f.func.as_deref().map_or(Value::Null, text));
+        t.insert("excerpt", text(&f.excerpt));
+        t.insert("help", text(&f.help));
+        t.build()
+    });
+    doc.insert("findings", Value::Array(findings.collect()));
+    doc.build().to_json()
 }
 
 /// Renders the run as human-readable text.

@@ -1,15 +1,52 @@
-//! A small dynamic value model shared by the TOML and JSON front-ends.
+//! The document model shared by the TOML and JSON codecs.
 //!
 //! The workspace's `serde` is the offline marker stub (`vendor/README.md`),
-//! so the CLI carries its own minimal document model: configs parse
-//! *into* a [`Value`] tree (from TOML or JSON), typed config structs read
-//! out of it, and run artifacts render back out of it (JSON for
-//! `metrics.json`, TOML for the config snapshot). When real serde becomes
-//! available the typed structs already carry the derive annotations; this
-//! module is the part that would be replaced by `toml`/`serde_json`.
+//! so the workspace carries one minimal document model: `nf` configs and
+//! `lint.toml` parse *into* a [`Value`] tree ([`crate::toml`],
+//! [`crate::json`]), typed readers take their settings out of it, and
+//! artifacts render back out of it (JSON for `metrics.json` and lint
+//! reports, TOML for the `nf` config snapshot). This is the part that
+//! would be replaced by `toml`/`serde_json`.
 
-use crate::error::CliError;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// Why a document could not be parsed or read.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DocError {
+    /// Malformed TOML at a 1-based line.
+    Toml {
+        /// The offending line.
+        line: usize,
+        /// What is wrong there.
+        message: String,
+    },
+    /// Malformed JSON or an unreadable file; the message says where.
+    Msg(String),
+    /// A key path that already holds a non-table value where a table is
+    /// required (`model = 3` followed by `model.name = ...`).
+    Config {
+        /// Dotted path of the offending key or section.
+        path: String,
+        /// What is wrong at that path.
+        message: String,
+    },
+}
+
+impl fmt::Display for DocError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DocError::Toml { line, message } => {
+                write!(f, "TOML parse error on line {line}: {message}")
+            }
+            DocError::Msg(m) => f.write_str(m),
+            DocError::Config { path, message } => {
+                write!(f, "config error at `{path}`: {message}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DocError {}
 
 /// A dynamically-typed configuration/metrics value.
 ///
@@ -54,12 +91,10 @@ impl Value {
 
     /// Inserts (or replaces) `key` in a table.
     ///
-    /// Inserting into a non-table is a typed [`CliError::Config`] naming
-    /// the offending key — never a panic: parsers hit this when a document
-    /// assigns a scalar where a table is expected (`model = 3` followed by
-    /// `model.name = ...`). Code building documents from scratch should
-    /// use [`Table`], whose receiver is statically a table.
-    pub fn insert(&mut self, key: &str, value: Value) -> Result<(), CliError> {
+    /// Inserting into a non-table is a typed [`DocError::Config`] naming
+    /// the offending key — never a panic. Code building documents from
+    /// scratch should use [`Table`], whose receiver is statically a table.
+    pub fn insert(&mut self, key: &str, value: Value) -> Result<(), DocError> {
         match self {
             Value::Table(entries) => {
                 if let Some(e) = entries.iter_mut().find(|(k, _)| k == key) {
@@ -69,13 +104,13 @@ impl Value {
                 }
                 Ok(())
             }
-            other => Err(CliError::config(
-                key,
-                format!(
+            other => Err(DocError::Config {
+                path: key.to_string(),
+                message: format!(
                     "cannot insert into {} (a table is required here)",
                     other.type_name()
                 ),
-            )),
+            }),
         }
     }
 
@@ -154,7 +189,7 @@ impl Value {
             Value::Int(i) => {
                 let _ = write!(out, "{i}");
             }
-            Value::Float(f) => write_json_float(out, *f),
+            Value::Float(f) => write_float(out, *f, false),
             Value::Str(s) => write_json_string(out, s),
             Value::Array(items) => {
                 if items.is_empty() {
@@ -274,7 +309,7 @@ fn render_toml_value(out: &mut String, v: &Value) {
         Value::Int(i) => {
             let _ = write!(out, "{i}");
         }
-        Value::Float(f) => write_toml_float(out, *f),
+        Value::Float(f) => write_float(out, *f, true),
         Value::Str(s) => write_json_string(out, s), // TOML basic strings share JSON escaping
         Value::Array(items) => {
             out.push('[');
@@ -290,34 +325,29 @@ fn render_toml_value(out: &mut String, v: &Value) {
     }
 }
 
-fn write_json_float(out: &mut String, f: f64) {
-    if f.is_finite() {
-        if f == f.trunc() && f.abs() < 1e15 {
-            // Keep a fractional part so the value re-parses as a float.
-            let _ = write!(out, "{f:.1}");
+/// Writes a float so that it re-parses as a float in either format: a
+/// whole value keeps a `.0` fraction, or an exponent from 1e15 up, where
+/// `{f}` would print a bare integer. Non-finite values are the one place
+/// the formats differ: TOML spells them `nan`/`inf`/`-inf`, and JSON has
+/// no spelling, so they clamp to `null` like serde_json's lossy mode.
+fn write_float(out: &mut String, f: f64, toml: bool) {
+    let _ = if f.is_finite() {
+        if f != f.trunc() {
+            write!(out, "{f}")
+        } else if f.abs() < 1e15 {
+            write!(out, "{f:.1}")
         } else {
-            let _ = write!(out, "{f}");
+            write!(out, "{f:e}")
         }
-    } else {
-        // JSON has no Inf/NaN; clamp to null like serde_json's lossy mode.
-        out.push_str("null");
-    }
-}
-
-fn write_toml_float(out: &mut String, f: f64) {
-    if f.is_finite() {
-        if f == f.trunc() && f.abs() < 1e15 {
-            let _ = write!(out, "{f:.1}");
-        } else {
-            let _ = write!(out, "{f}");
-        }
+    } else if !toml {
+        out.write_str("null")
     } else if f.is_nan() {
-        out.push_str("nan");
+        out.write_str("nan")
     } else if f > 0.0 {
-        out.push_str("inf");
+        out.write_str("inf")
     } else {
-        out.push_str("-inf");
-    }
+        out.write_str("-inf")
+    };
 }
 
 fn write_json_string(out: &mut String, s: &str) {
@@ -359,7 +389,7 @@ mod tests {
         let mut v = Value::Int(3);
         let err = v.insert("name", Value::Str("x".into())).unwrap_err();
         match err {
-            CliError::Config { path, message } => {
+            DocError::Config { path, message } => {
                 assert_eq!(path, "name");
                 assert!(message.contains("an integer"), "{message}");
             }
